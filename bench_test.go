@@ -498,9 +498,9 @@ func BenchmarkCanonicalizeString(b *testing.B) {
 	}
 }
 
-// BenchmarkCanonicalize is the scratch-state path: the same 24
-// permutations through one pooled reusable clone and two key buffers.
-// The acceptance bar is 0 allocs/op.
+// BenchmarkCanonicalize is the sorting path: the four caches have distinct
+// signatures, so one candidate permutation is encoded through the pooled
+// reusable clone instead of 24. The acceptance bar is 0 allocs/op.
 func BenchmarkCanonicalize(b *testing.B) {
 	s := fingerprintBenchState()
 	canon := symmetry.NewCanonicalizer(len(s.Caches))

@@ -2,15 +2,15 @@
 //
 // A run can be cut short in two ways. Cooperative cancellation: the
 // context threaded through CheckCtx is polled at every BFS level boundary
-// and every cancelPollStride expansions (per worker under the parallel
-// driver), so a -timeout deadline or a SIGINT-driven cancel stops the
-// search within a bounded amount of work. Panic containment: a panic out
-// of model code (Transitions, Fire, an invariant, Key) is recovered at
-// the driver boundary instead of crashing the process. Either way the run
-// returns normally — error-free — with Verdict == Aborted and a non-nil
-// Result.Abort describing why, carrying whatever partial statistics the
-// exploration accumulated (states, transitions, depth, the full Space
-// profile). Reachability goals are deliberately NOT judged on an aborted
+// and every cancelPollStride expansions (counted over all workers under
+// the parallel driver), so a -timeout deadline or a SIGINT-driven cancel
+// stops the search within a bounded amount of work. Panic containment: a
+// panic out of model code (Transitions, Fire, an invariant, Key) is
+// recovered at the driver boundary instead of crashing the process.
+// Either way the run returns normally — error-free — with Verdict ==
+// Aborted and a non-nil Result.Abort describing why, carrying whatever
+// partial statistics the exploration accumulated (states, transitions,
+// depth, the full Space profile). Reachability goals are deliberately NOT judged on an aborted
 // run: "goal never witnessed" is only meaningful over the complete space,
 // so an abort can never manufacture a spurious goal failure.
 package mc
@@ -40,12 +40,21 @@ type AbortInfo struct {
 	Stack string
 }
 
-// cancelPollStride is the cooperative cancellation cadence: each worker
-// checks its context once per this many expansions, in addition to the
+// cancelPollStride is the cooperative cancellation cadence: the context is
+// checked once per this many expansions of the run, in addition to the
 // unconditional check at every BFS level boundary. At typical expansion
 // rates this bounds cancellation latency to well under a millisecond
 // while keeping the poll amortized to a fraction of a branch per state.
-const cancelPollStride = 1024
+//
+// Parallel workers count their expansions privately and add them to one
+// shared counter pollBatch at a time (pollBatch divides the stride), so
+// the shared cache line is touched once per batch and a cancel lands
+// within one stride plus at most pollBatch−1 unflushed expansions per
+// worker.
+const (
+	cancelPollStride = 1024
+	pollBatch        = 64
+)
 
 // cancelAbort captures a cancelled context as an AbortInfo.
 func cancelAbort(ctx context.Context) *AbortInfo {

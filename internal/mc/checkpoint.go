@@ -72,6 +72,12 @@ const (
 // on resume. Worker count and driver are deliberately NOT identity: both
 // drivers share the keying scheme, so a checkpoint taken by one resumes
 // under the other.
+//
+// The identity cannot see the keying code itself: a saved visited set is
+// only comparable with fingerprints computed the same way. Any change to
+// the canonical form — a model's AppendKey, the hash, or the symmetry
+// canonicalizer's choice of orbit representative — must bump ckptVersion
+// (the msi canonical-fingerprint goldens guard the last).
 type ckptMeta struct {
 	Version    int    `json:"version"`
 	System     string `json:"system"`

@@ -236,6 +236,8 @@ func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
 	l.blue = visited.New(visitedConfig(l.opt))
 	l.red = visited.New(visitedConfig(l.opt))
 	defer func() {
+		l.addSpill(l.blue)
+		l.addSpill(l.red)
 		if cerr := closeStore(l.blue); err == nil {
 			err = cerr
 		}
@@ -276,6 +278,17 @@ func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
 		}
 	}
 	return false, nil
+}
+
+// addSpill folds a colour store's final on-disk footprint into the run's
+// space profile, which already holds the safety pass's, and republishes
+// the spill gauges with the running total.
+func (l *liveChecker) addSpill(store visited.Store) {
+	vs := store.Stats()
+	l.res.Space.SpilledBytes += vs.SpilledBytes
+	l.res.Space.SpillRuns += vs.SpillRuns
+	l.opt.Obs.SetGauge(obs.GSpilledBytes, uint64(l.res.Space.SpilledBytes))
+	l.opt.Obs.SetGauge(obs.GSpillRuns, uint64(l.res.Space.SpillRuns))
 }
 
 // --- Negated Büchi monitors -------------------------------------------

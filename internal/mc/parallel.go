@@ -84,6 +84,11 @@ type pchecker struct {
 	// panic); later aborts — racing workers observing the same cancel, a
 	// second panicking worker — are dropped, mirroring the failure rule.
 	abort atomic.Pointer[AbortInfo]
+	// expanded counts the run's expansions in pollBatch steps; the worker
+	// whose batch lands on a multiple of cancelPollStride polls the
+	// context, so the stride spans the whole run as in the sequential
+	// driver rather than each worker's share of it.
+	expanded atomic.Int64
 
 	failMu  sync.Mutex
 	failure *FailureInfo
@@ -110,9 +115,9 @@ type pworker struct {
 	key      keyer
 	trs      []ts.Transition
 	recycled uint64
-	// poll counts this worker's expansions toward its next cooperative
-	// cancellation check (see cancelPollStride).
-	poll int
+	// unpolled counts this worker's expansions not yet added to the run's
+	// shared expansion count (see pollBatch).
+	unpolled int
 	// ow stages this worker's telemetry counters (nil when Options.Obs is
 	// unset). Each worker gets its own obs slot via NewWorker, so the
 	// batched flushes land on distinct cache lines too.
@@ -253,9 +258,9 @@ func (c *pchecker) expand(w int, it pitem, emit func(pitem)) (stop bool, err err
 		}
 	}()
 	pw := &c.workers[w]
-	if pw.poll++; pw.poll >= cancelPollStride {
-		pw.poll = 0
-		if c.ctx.Err() != nil {
+	if pw.unpolled++; pw.unpolled == pollBatch {
+		pw.unpolled = 0
+		if c.expanded.Add(pollBatch)%cancelPollStride == 0 && c.ctx.Err() != nil {
 			c.setAbort(cancelAbort(c.ctx))
 			return true, nil
 		}
@@ -372,7 +377,7 @@ func (c *pchecker) run() (*Result, error) {
 
 	for !stopped && len(frontier) > 0 {
 		// An already-expired context aborts before the next level, however
-		// small the levels are (the per-worker stride poll handles big ones).
+		// small the levels are (the run-wide stride poll handles big ones).
 		if c.ctx.Err() != nil {
 			c.setAbort(cancelAbort(c.ctx))
 			break

@@ -280,8 +280,8 @@ func (s *State) Scratch() ts.State {
 
 // PermuteInto implements ts.InPlacePermuter: Permute's result written into
 // dst — a *State from Scratch — reusing its cache array and network
-// message storage, so the symmetry canonicalizer's N!−1 permutations per
-// state allocate nothing in steady state.
+// message storage, so the symmetry canonicalizer's candidate permutations
+// allocate nothing in steady state.
 func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*State)
 	n := len(s.Caches)
@@ -310,6 +310,16 @@ func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d.Ghost = s.Ghost
 	d.Err = s.Err
 	s.Net.PermuteInto(&d.Net, perm, n)
+}
+
+// AgentSignature implements ts.InPlacePermuter: cache i's AppendKey bytes
+// (St, Data, Acks), packed big-endian. Cache fields travel with the cache
+// under renaming, and AppendKey writes them fixed-width right after the
+// count byte, so the minimal encoding of an orbit lists the caches in
+// signature order — sorting by it loses nothing.
+func (s *State) AgentSignature(i int) uint64 {
+	c := s.Caches[i]
+	return uint64(byte(c.St))<<16 | uint64(byte(c.Data))<<8 | uint64(byte(c.Acks))
 }
 
 // String renders the state for traces.

@@ -111,6 +111,18 @@ func (s *State) PermuteInto(dst ts.State, perm []int) {
 	}
 }
 
+// AgentSignature implements ts.InPlacePermuter: process i's (PC, Flag).
+// AppendKey writes both PCs, then both flags, before the identity-carrying
+// Turn, so the minimal encoding of an orbit orders the processes by this
+// signature.
+func (s *State) AgentSignature(i int) uint64 {
+	sig := uint64(byte(s.PCs[i])) << 8
+	if s.Flag[i] {
+		sig |= 1
+	}
+	return sig
+}
+
 // NumAgents implements ts.Permutable.
 func (s *State) NumAgents() int { return 2 }
 

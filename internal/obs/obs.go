@@ -107,7 +107,9 @@ const (
 	// GVisitedBytes is the visited-set backend's in-RAM footprint.
 	GVisitedBytes
 	// GSpilledBytes and GSpillRuns mirror the spill backend's on-disk
-	// footprint and live run-file count.
+	// footprint and run-file count: the safety store's live runs during
+	// the safety pass, then Space.SpilledBytes/SpillRuns, which add each
+	// liveness goal's colour stores as its search ends.
 	GSpilledBytes
 	GSpillRuns
 	// GMaxStates is the -max-states cap (0 = unlimited); readers derive

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -16,9 +17,9 @@ type layout struct {
 	n         int // processes
 	symmetric bool
 
-	vars   []varInfo
-	byName map[string]*varInfo
-	enums  [][]string // enum value-name tables
+	vars     []varInfo
+	byName   map[string]*varInfo
+	enums    [][]string // enum value-name tables
 	enumVals map[string]enumVal
 
 	slots int
@@ -31,6 +32,10 @@ type layout struct {
 	// pidSlots lists the slots holding pid values (scalar pid variables and
 	// pid array cells) — the values symmetry permutations must rename.
 	pidSlots []int
+	// sigArrays are the first slots of the per-process arrays whose cells
+	// make up AgentSignature: the non-pid arrays in layout order, up to the
+	// first pid-carrying variable and at most 8 encoded bytes per process.
+	sigArrays []int
 }
 
 type enumVal struct {
@@ -71,6 +76,17 @@ func (l *layout) finalize() {
 			if v.k == kPid {
 				l.pidSlots = append(l.pidSlots, v.off+s)
 			}
+		}
+	}
+	sigBytes := 0
+	for vi := range l.vars {
+		v := &l.vars[vi]
+		if v.k == kPid || (v.array && sigBytes+int(l.slotW[v.off]) > 8) {
+			break
+		}
+		if v.array {
+			l.sigArrays = append(l.sigArrays, v.off)
+			sigBytes += int(l.slotW[v.off])
 		}
 	}
 }
@@ -234,6 +250,27 @@ func (s *symState) PermuteInto(dst ts.State, perm []int) {
 			d.vals[slot] = int32(perm[p])
 		}
 	}
+}
+
+// AgentSignature implements ts.InPlacePermuter: process i's cells of the
+// signature arrays, each as the bytes AppendKey writes for it, packed
+// big-endian in layout order. The cells travel with the process under
+// renaming, and everything ahead of them in the encoding is either fixed
+// under renaming (non-pid scalars) or part of the signature itself (the
+// first pid-carrying variable ends it), so the minimal encoding of an
+// orbit orders the processes by this signature.
+func (s *symState) AgentSignature(i int) uint64 {
+	var sig uint64
+	for _, off := range s.lay.sigArrays {
+		slot := off + i
+		u := uint32(s.vals[slot] - s.lay.slotLo[slot])
+		if s.lay.slotW[slot] == 1 {
+			sig = sig<<8 | uint64(byte(u))
+		} else {
+			sig = sig<<32 | uint64(bits.ReverseBytes32(u))
+		}
+	}
+	return sig
 }
 
 // Permute implements ts.Permutable.

@@ -46,13 +46,15 @@ type Stats struct {
 	// "spill"; "mixed" after merging runs with different backends).
 	Backend string `json:"backend"`
 	// SpilledBytes is the spill backend's on-disk footprint: the summed
-	// size of its sorted fingerprint run files at the end of the run.
-	// VisitedBytes deliberately excludes it — the split is the backend's
-	// whole point (bounded RAM, disk-resident bulk). Zero for RAM-only
-	// backends; after Merge, the largest single run (like VisitedBytes).
+	// size of the sorted fingerprint run files each spill store of the run
+	// holds when it closes — the safety pass's store, plus the blue and red
+	// colour stores of every liveness goal searched. VisitedBytes
+	// deliberately excludes it — the split is the backend's whole point
+	// (bounded RAM, disk-resident bulk). Zero for RAM-only backends; after
+	// Merge, the largest single run (like VisitedBytes).
 	SpilledBytes int64 `json:"spilled_bytes,omitempty"`
-	// SpillRuns is the spill backend's live run-file count at the end of
-	// the run (1 after a level-boundary merge). Zero for other backends.
+	// SpillRuns counts the run files behind SpilledBytes (1 for a safety
+	// store after a level-boundary merge). Zero for other backends.
 	SpillRuns int `json:"spill_runs,omitempty"`
 	// Inexact reports that the visited set was lossy (bitstate): states
 	// may have been omitted, so States/Transitions are lower bounds and a

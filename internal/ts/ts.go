@@ -19,8 +19,9 @@
 // provide a compact binary encoding appended into a caller-owned buffer,
 // which is what the exploration hot path fingerprints: no string is ever
 // materialized per visited state. Symmetric states can further implement
-// InPlacePermuter so the symmetry canonicalizer permutes into reusable
-// scratch instead of deep-cloning once per permutation.
+// InPlacePermuter so the symmetry canonicalizer sorts agents by signature
+// and permutes into reusable scratch instead of deep-cloning once per
+// permutation.
 //
 // # Successor lifecycle
 //
@@ -126,24 +127,25 @@ type KeyDecoder interface {
 // Permutable is implemented by states containing scalarset-like symmetric
 // agent identifiers (e.g. cache IDs). Permute returns a copy of the state
 // with every agent index i renamed to perm[i]. The model checker uses this
-// for symmetry reduction: the canonical representative of a state is the
-// permutation with the lexicographically smallest Key.
+// for symmetry reduction: every state of one orbit is stored under a single
+// canonical fingerprint (see internal/symmetry).
 type Permutable interface {
 	State
 	// NumAgents reports the size of the symmetric scalarset.
 	NumAgents() int
 	// Permute returns a fresh state with agent identities renamed by perm,
-	// which is a bijection on [0, NumAgents()).
+	// which is a bijection on [0, NumAgents()). Renaming by the identity
+	// must reproduce the receiver's Key on every reachable state.
 	Permute(perm []int) State
 }
 
 // InPlacePermuter is optionally implemented by Permutable states that can
-// write a permutation into reusable scratch storage instead of allocating a
-// fresh deep copy per permutation. The symmetry canonicalizer visits N!−1
-// non-identity permutations per offered state, so with plain Permute the
-// clone is the dominant allocation of a symmetry-reduced exploration; with
-// PermuteInto the canonicalizer keeps one scratch state per worker and
-// mutates it in place.
+// write a permutation into reusable scratch storage and that summarize
+// each agent by a permutation-invariant signature. The symmetry
+// canonicalizer sorts agents by signature and minimizes the binary
+// encoding only over the permutations inside blocks of tied signatures,
+// writing each candidate into one scratch state per worker with
+// PermuteInto instead of allocating a deep copy per permutation.
 type InPlacePermuter interface {
 	Permutable
 	// Scratch returns a fully private deep copy of the receiver for use as
@@ -158,6 +160,17 @@ type InPlacePermuter interface {
 	// overwritten. Implementations reuse dst's storage and must not
 	// allocate beyond amortized growth of dst's internal slices.
 	PermuteInto(dst State, perm []int)
+	// AgentSignature summarizes agent i by a value that travels with the
+	// agent under renaming: for every permutation π,
+	// Permute(π).AgentSignature(π[i]) == AgentSignature(i). Any such
+	// signature keeps canonicalization exact (a constant one degenerates
+	// to trying all N! permutations); the more agents it separates, the
+	// fewer permutations are tried. A signature that packs, big-endian
+	// and in encoding order, agent-indexed bytes AppendKey writes for the
+	// agent, with nothing ahead of them in the encoding that renames agent
+	// identities, also keeps the canonical encoding byte-identical to the
+	// minimum over all N! permutations.
+	AgentSignature(i int) uint64
 }
 
 // StateCopier is optionally implemented by states that can overwrite

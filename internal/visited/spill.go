@@ -494,10 +494,9 @@ func (s *spill) Close() error {
 	defer s.mu.Unlock()
 	for _, r := range s.runs {
 		r.f.Close()
-		s.fs.Remove(r.name)
 	}
 	s.runs = nil
-	if s.dir != "" {
+	if s.dir != "" { // removes the run files with it
 		s.fs.RemoveAll(s.dir)
 		s.dir = ""
 	}
