@@ -164,25 +164,10 @@ func BenchmarkAblationSymmetryOff(b *testing.B) {
 	synthBench(b, msi.Small, core.Config{Mode: core.ModePrune, MC: mc.Options{Symmetry: false}})
 }
 
-// BenchmarkAblationSearchBFS/DFS: BFS yields minimal traces (maximally
-// general patterns); DFS is the ablation.
+// BenchmarkAblationSearchBFS is the embedded checker's only search order:
+// BFS yields minimal traces, hence maximally general patterns.
 func BenchmarkAblationSearchBFS(b *testing.B) {
-	synthBench(b, msi.Small, core.Config{Mode: core.ModePrune, MC: mc.Options{Symmetry: true, Order: mc.BFS}})
-}
-
-// BenchmarkAblationSearchDFS uses depth-first exploration in the embedded
-// model checker. With full-vector patterns the whole enumerated prefix is
-// bound regardless of which trace was found, so DFS costs little here.
-func BenchmarkAblationSearchDFS(b *testing.B) {
-	synthBench(b, msi.Small, core.Config{Mode: core.ModePrune, MC: mc.Options{Symmetry: true, Order: mc.DFS}})
-}
-
-// BenchmarkAblationSearchDFSTraceGen is where trace minimality actually
-// matters: trace-generalized patterns bind exactly the holes on the found
-// error trace, so DFS's longer traces yield less general patterns than the
-// BFS numbers in BenchmarkAblationPruneTraceGeneralized.
-func BenchmarkAblationSearchDFSTraceGen(b *testing.B) {
-	synthBench(b, msi.Small, core.Config{Mode: core.ModePrune, PruneStyle: core.PruneTraceGeneralized, MC: mc.Options{Symmetry: true, Order: mc.DFS}})
+	synthBench(b, msi.Small, core.Config{Mode: core.ModePrune, MC: mc.Options{Symmetry: true}})
 }
 
 // --- Model-checker microbenchmarks ---

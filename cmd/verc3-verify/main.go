@@ -7,8 +7,8 @@
 // Usage:
 //
 //	verc3-verify -system msi-complete [-caches 3] [-symmetry=false] [-states]
-//	             [-liveness] [-dfs] [-workers N] [-shard-bits B] [-no-trace]
-//	             [-no-recycle] [-stats] [-visited flat|map|bitstate|spill]
+//	             [-liveness] [-workers N] [-shard-bits B] [-no-trace]
+//	             [-stats] [-visited flat|map|bitstate|spill]
 //	             [-bitstate-mb N] [-spill-mem-mb N] [-spill-dir DIR]
 //	             [-timeout D] [-checkpoint-dir DIR] [-resume] [-checkpoint-every D]
 //	             [-progress] [-metrics-addr ADDR] [-report FILE]
@@ -26,8 +26,8 @@
 // from the newest snapshot, reproducing the uninterrupted run's verdict
 // and counts bit-identically. Saves are throttled so checkpointing costs
 // at most ~5% of wall-clock; -checkpoint-every overrides the spacing
-// (negative = every boundary). Checkpointing requires BFS order, an exact
-// visited backend and -no-trace.
+// (negative = every boundary). Checkpointing requires an exact visited
+// backend and -no-trace.
 //
 // -spec loads the system from a JSON model spec (see internal/spec and the
 // committed examples under examples/specs/) instead of the compiled-in
@@ -68,12 +68,10 @@ func main() {
 		symmetry  = flag.Bool("symmetry", true, "enable scalarset symmetry reduction")
 		liveness  = flag.Bool("liveness", false, "after the safety pass, check declared liveness goals with nested DFS (needs an exact visited backend)")
 		states    = flag.Bool("states", false, "print states along the counterexample trace")
-		dfs       = flag.Bool("dfs", false, "use depth-first search (traces not minimal)")
 		maxSt     = flag.Int("max-states", 0, "state cap (0 = unlimited)")
-		workers   = flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS, <=1 = sequential)")
+		workers   = flag.Int("workers", 1, "exploration workers (0 = GOMAXPROCS, <=1 = one deterministic worker)")
 		shardBits = flag.Int("shard-bits", 0, "log2 shards of the parallel visited set (0 = default)")
 		noTrace   = flag.Bool("no-trace", false, "skip trace recording (fingerprint-only memory; failures carry no counterexample)")
-		noRecycle = flag.Bool("no-recycle", false, "disable successor recycling (fresh clone per transition; ablation knob)")
 	)
 	cf := cliutil.RegisterCommon()
 	ck := cliutil.RegisterCheckpoint()
@@ -158,14 +156,10 @@ func main() {
 		MaxStates:   *maxSt,
 		Workers:     *workers,
 		ShardBits:   *shardBits,
-		NoRecycle:   *noRecycle,
 		Liveness:    *liveness,
 	}
 	cf.ApplyMC(&opt, backend)
 	ck.ApplyMC(&opt)
-	if *dfs {
-		opt.Order = mc.DFS
-	}
 	ctx, stop := cf.Context("verc3-verify")
 	start := time.Now()
 	res, err := mc.CheckCtx(ctx, sys, opt)

@@ -73,7 +73,7 @@ type Config struct {
 	// enumeration) and requires Workers <= 1.
 	Workers int
 	// MCWorkers is the number of intra-check exploration workers handed to
-	// the embedded model checker per dispatch (0 or 1 = sequential). The
+	// the embedded model checker per dispatch (0 or 1 = one worker). The
 	// engine's total parallelism budget is Workers×MCWorkers, and budget
 	// flows in one direction only: once MCWorkers > 1 opts into
 	// intra-check parallelism, dispatches that cannot use cross-candidate
@@ -82,7 +82,7 @@ type Config struct {
 	// budget as extra intra-check workers (see SplitParallelism), but
 	// MCWorkers never adds cross-candidate workers beyond Workers —
 	// Workers=1 keeps its deterministic dispatch order, and MCWorkers<=1
-	// keeps every dispatch on the sequential driver.
+	// keeps every dispatch on one deterministic exploration worker.
 	// Cross-candidate parallelism is embarrassingly parallel and should
 	// get the budget first; intra-check parallelism is the lever when
 	// individual state spaces are large. With MCWorkers > 1, holes may be
@@ -90,10 +90,10 @@ type Config struct {
 	// indices (and Solution.Assign vectors) are only stable up to
 	// renaming; compare solutions by hole name. Note
 	// PruneTraceGeneralized installs a usage tracker, which forces each
-	// check back to the sequential driver.
+	// check to one exploration worker.
 	MCWorkers int
 	// MC carries the base model-checker options (symmetry, state caps,
-	// deadlock checking, search order, MemStats for Stats.Space allocation
+	// deadlock checking, MemStats for Stats.Space allocation
 	// counters, visited-set backend). Env, Usage, RecordTrace and Workers
 	// are managed by the engine and must be left zero (set Config.MCWorkers
 	// for intra-check parallelism; trace recording is off during the search
@@ -507,7 +507,7 @@ func (e *engine) dispatch(assign []int, mcWorkers int) {
 	opt.Workers = mcWorkers
 	if e.traceGen {
 		// Usage tracking needs sequentially bracketed firings; the model
-		// checker would fall back anyway, but be explicit.
+		// checker would force one worker anyway, but be explicit.
 		opt.Usage = rc
 		opt.Workers = 1
 	}
@@ -707,7 +707,7 @@ func (e *engine) enumerateRound(sizes []int) {
 	// workers, but MCWorkers budget never inflates the cross-candidate
 	// pool — Workers=1 keeps the deterministic dispatch order that
 	// OnEvaluate and the Figure 2 regeneration rely on, and MCWorkers<=1
-	// keeps every dispatch on the sequential driver as documented.
+	// keeps every dispatch on one exploration worker as documented.
 	workers, mcw := e.cfg.Workers, 1
 	if uint64(workers) > total {
 		workers = int(total)

@@ -1,9 +1,8 @@
-// Cancellation and panic containment for both exploration drivers.
+// Cancellation and panic containment for the exploration driver.
 //
 // A run can be cut short in two ways. Cooperative cancellation: the
 // context threaded through CheckCtx is polled at every BFS level boundary
-// and every cancelPollStride expansions (counted over all workers under
-// the parallel driver), so a -timeout deadline or a SIGINT-driven cancel
+// and every cancelPollStride expansions (counted over all workers), so a -timeout deadline or a SIGINT-driven cancel
 // stops the search within a bounded amount of work. Panic containment: a
 // panic out of model code (Transitions, Fire, an invariant, Key) is
 // recovered at the driver boundary instead of crashing the process.

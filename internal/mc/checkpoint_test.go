@@ -267,7 +267,6 @@ func TestCheckpointGating(t *testing.T) {
 		want string
 	}{
 		{"trace", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, RecordTrace: true}, "trace"},
-		{"dfs", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, Order: mc.DFS}, "BFS"},
 		{"bitstate", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, Visited: visited.Bitstate}, "exact"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,14 +86,6 @@ func TestBFSTraceMinimality(t *testing.T) {
 	if got := len(res.Failure.Trace); got != 2 {
 		t.Errorf("BFS trace length = %d, want 2 (minimal)", got)
 	}
-	// DFS explores depth-first and may find the long way round.
-	res, err = mc.Check(g, mc.Options{RecordTrace: true, Order: mc.DFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != mc.Failure {
-		t.Fatalf("DFS verdict = %v", res.Verdict)
-	}
 }
 
 // TestDeadlockDetection checks a non-quiescent sink is reported.
@@ -246,21 +238,6 @@ func TestVisitedStatesHelper(t *testing.T) {
 	}
 	if _, err := mc.VisitedStates(line(3, true), false); err == nil {
 		t.Fatal("want error for failing system")
-	}
-}
-
-// TestDFSExploresAll checks DFS visits the same state count on a safe system.
-func TestDFSExploresAll(t *testing.T) {
-	bfs, err := mc.Check(line(9, false), mc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dfs, err := mc.Check(line(9, false), mc.Options{Order: mc.DFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfs.Stats.VisitedStates != dfs.Stats.VisitedStates {
-		t.Errorf("BFS %d states vs DFS %d", bfs.Stats.VisitedStates, dfs.Stats.VisitedStates)
 	}
 }
 

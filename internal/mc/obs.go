@@ -10,9 +10,9 @@ import (
 
 // This file is the drivers' glue onto internal/obs. Counters ride the
 // per-worker staging path (obs.Worker) inside the expansion hot loops in
-// mc.go / parallel.go / liveness.go; everything coarser — gauges, the
-// snapshot timeline, the level-merge phase timing — funnels through the
-// level-boundary helpers here so both drivers publish identically.
+// parallel.go / liveness.go; everything coarser — gauges, the snapshot
+// timeline, the level-merge phase timing — funnels through the
+// level-boundary helpers here.
 
 // obsLevelGauges publishes the BFS-level gauges (depth, frontier size,
 // visited-set footprint, spill and pool traffic) and appends a timeline
@@ -45,27 +45,11 @@ func obsPoolGauges(o *obs.Collector, pool *ts.PoolReporter, hits0, misses0 uint6
 	o.SetGauge(obs.GPoolMisses, m-misses0)
 }
 
-// endLevelObs is the sequential driver's instrumented level boundary:
-// flush the staged counters, run the backend's level housekeeping under
-// the level_merge phase clock, then publish the level gauges and mark
-// the timeline. Collapses to plain endLevel when telemetry is off.
-func (c *checker) endLevelObs(depth int) error {
-	o := c.opt.Obs
-	if o == nil {
-		return endLevel(c.visited)
-	}
-	c.ow.Flush()
-	t0 := time.Now()
-	err := endLevel(c.visited)
-	o.ObservePhase(obs.PhaseLevelMerge, time.Since(t0))
-	obsLevelGauges(o, c.visited, &c.lc, depth, c.frontier.Len())
-	return err
-}
-
-// endLevelObs is the parallel driver's instrumented level boundary. All
-// ExpandLevel workers have joined (WaitGroup happens-before), so the main
-// goroutine may flush every worker's staged counters before the gauges
-// and timeline mark are published.
+// endLevelObs is the driver's instrumented level boundary: flush every
+// worker's staged counters (all have joined — ExpandLevel's WaitGroup
+// happens-before), run the backend's level housekeeping under the
+// level_merge phase clock, then publish the level gauges and mark the
+// timeline. Collapses to plain endLevel when telemetry is off.
 func (c *pchecker) endLevelObs(nextLen int) error {
 	o := c.opt.Obs
 	if o == nil {
@@ -77,12 +61,15 @@ func (c *pchecker) endLevelObs(nextLen int) error {
 	t0 := time.Now()
 	err := endLevel(c.visited)
 	o.ObservePhase(obs.PhaseLevelMerge, time.Since(t0))
-	obsLevelGauges(o, c.visited, &c.lc, int(c.maxDepth.Load()), nextLen)
+	st, _ := c.totals()
+	obsLevelGauges(o, c.visited, &c.lc, st.MaxDepth, nextLen)
 	return err
 }
 
-// obsFinish (parallel) flushes every worker and republishes the final
-// gauges; called from finish once all workers have joined.
+// obsFinish flushes every worker and republishes the end-of-run gauges, so
+// the post-run snapshot (and the report's final entry) is exact however the
+// run ended — success, failure, cap, abort; called from finish once all
+// workers have joined.
 func (c *pchecker) obsFinish() {
 	o := c.opt.Obs
 	if o == nil {
@@ -91,23 +78,6 @@ func (c *pchecker) obsFinish() {
 	for i := range c.workers {
 		c.workers[i].ow.Flush()
 	}
-	obsLevelGauges(o, c.visited, &c.lc, int(c.maxDepth.Load()), 0)
-}
-
-// obsStart binds the sequential checker to the run's collector and
-// publishes the run-scoped cap gauge.
-func (c *checker) obsStart() {
-	c.ow = c.opt.Obs.NewWorker()
-	c.opt.Obs.SetGauge(obs.GMaxStates, uint64(c.opt.MaxStates))
-}
-
-// obsFinish flushes the staged counters and republishes the end-of-run
-// gauges, so the post-run snapshot (and the report's final entry) is
-// exact regardless of how the run ended — success, failure, cap, error.
-func (c *checker) obsFinish(depth int) {
-	if c.opt.Obs == nil {
-		return
-	}
-	c.ow.Flush()
-	obsLevelGauges(c.opt.Obs, c.visited, &c.lc, depth, c.frontier.Len())
+	st, _ := c.totals()
+	obsLevelGauges(o, c.visited, &c.lc, st.MaxDepth, 0)
 }

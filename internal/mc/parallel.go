@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -15,28 +16,33 @@ import (
 	"verc3/internal/visited"
 )
 
-// pitem is one frontier entry of the parallel driver: the state with its
-// BFS depth. The same trace-optional representation as the sequential
-// driver — with RecordTrace off, frontier levels are the only place states
-// live and each level becomes garbage once expanded; with it on, node
-// points into the shared trace store, whose parent chains keep every
-// ancestor alive (the inherent memory cost of counterexamples).
+// pitem is one frontier entry: the state with the hole-usage mask
+// accumulated along its path (zero without Options.Usage); its BFS depth
+// is its level's, pchecker.depth. This is the trace-optional
+// representation — with
+// RecordTrace off, frontier levels are the only place states live and
+// each entry is dropped once expanded; with it on, node points into the
+// shared trace store, whose parent chains keep every ancestor alive (the
+// inherent memory cost of counterexamples).
 type pitem struct {
 	state ts.State
 	node  *statespace.TraceNode[ts.State] // nil unless RecordTrace
-	depth int
+	mask  uint64
 }
 
-// pchecker is the level-synchronous parallel BFS driver. Each frontier
-// level is spread over Options.Workers goroutines (statespace.ExpandLevel);
-// successors dedupe through the concurrent visited set, whose TryInsert
-// doubles as the expansion-ownership claim. Every backend — bitstate
-// included, via its single-CAS completion rule — admits at most one of any
-// set of racing inserts of a fingerprint, so every admitted state is
-// checked and expanded exactly once and States/Transitions are exact
-// counts of the explored space (under bitstate that space may still be
-// missing omitted states). Statistics are atomic; the first property
-// violation wins and stops the search.
+// pchecker is the level-synchronous BFS driver, the one driver behind
+// every safety pass. With one worker it expands each level inline, in
+// item order, over the unstriped visited store: exactly FIFO breadth-first
+// search, so runs are deterministic and counterexamples minimal. With
+// Options.Workers > 1 each level is spread over that many goroutines
+// (statespace.ExpandLevel) and successors dedupe through the concurrent
+// visited set, whose TryInsert doubles as the expansion-ownership claim.
+// Every backend — bitstate included, via its single-CAS completion rule —
+// admits at most one of any set of racing inserts of a fingerprint, so
+// every admitted state is checked and expanded exactly once and
+// States/Transitions are exact counts of the explored space (under
+// bitstate that space may still be missing omitted states). The first
+// property violation wins and stops the search.
 type pchecker struct {
 	sys   ts.System
 	opt   Options
@@ -44,34 +50,42 @@ type pchecker struct {
 	ckpt  *checkpointer
 	canon *symmetry.Canonicalizer
 	// workers is the per-worker scratch, indexed by the ExpandLevel worker
-	// index — each worker owns its encoding and transition buffers
-	// outright, so the keying and enumeration hot paths are allocation- and
-	// lock-free.
+	// index — each worker owns its encoding, transition and output buffers
+	// and its counters outright, so the keying and enumeration hot paths
+	// are allocation- and lock-free. The counters are summed between
+	// levels, when no worker runs.
 	workers []pworker
-	lc      lifecycle
-	labels  *phaseLabels
-	invs    []ts.Invariant
-	goals   []ts.ReachGoal
-	quies   ts.QuiescentReporter
+	// one is the pooled storage of a one-worker run (nil otherwise).
+	one *oneWorker
+	// expandFn is expandOne bound once per multi-worker run.
+	expandFn func(w int, it pitem, emit func(pitem)) (bool, error)
+	lc       lifecycle
+	labels   *phaseLabels
+	invs     []ts.Invariant
+	goals    []ts.ReachGoal
+	quies    ts.QuiescentReporter
 
 	visited visited.Store
 	traces  *statespace.TraceStore[ts.State]
 	goalHit []atomic.Bool
 
-	fired    atomic.Int64
-	aborts   atomic.Int64
-	maxDepth atomic.Int64 // max enqueued depth (same semantics as sequential)
+	// level is the frontier level being expanded, all of it at BFS depth
+	// depth.
+	level []pitem
+	depth int
 	// admitted mirrors visited.Len() as a monotonic counter so the
 	// MaxStates cap probe is one atomic load instead of a per-expansion
 	// sweep of the striped store. Maintained only when a cap is set —
 	// uncapped runs (the synthesis default) skip even the shared-counter
 	// increment on the admission path.
 	admitted atomic.Int64
-	wildcard atomic.Bool
 	capHit   atomic.Bool
-	// peak is the frontier high-water mark: the largest cur-level +
-	// emitted-next-level coexistence reached during a level expansion
-	// (updated between levels, when both are fully known).
+	// peak is the frontier high-water mark. With one worker it is the
+	// largest number of live entries — the level's unexpanded tail plus
+	// the next level emitted so far, what a FIFO queue would hold — and
+	// with several it is the largest whole-level plus next-level
+	// coexistence (workers expand a level in any order, and the level
+	// slice stays alive until all have joined).
 	peak int
 	// resumed reports that the run was seeded from a checkpoint.
 	resumed bool
@@ -86,8 +100,8 @@ type pchecker struct {
 	abort atomic.Pointer[AbortInfo]
 	// expanded counts the run's expansions in pollBatch steps; the worker
 	// whose batch lands on a multiple of cancelPollStride polls the
-	// context, so the stride spans the whole run as in the sequential
-	// driver rather than each worker's share of it.
+	// context, so the stride spans the whole run rather than each worker's
+	// share of it.
 	expanded atomic.Int64
 
 	failMu  sync.Mutex
@@ -100,11 +114,12 @@ func (c *pchecker) setAbort(info *AbortInfo) {
 	c.abort.CompareAndSwap(nil, info)
 }
 
-// pworker is one ExpandLevel worker's private scratch: the fingerprinting
-// keyer, the transition buffer for the ts.TransitionAppender enumeration
-// path, and this worker's recycle count (summed into the space profile by
-// finish). The struct is padded to two cache lines so neighbouring workers'
-// per-expansion buffer-header and counter writes never false-share.
+// pworker is one worker's private scratch: the fingerprinting keyer, the
+// transition buffer for the ts.TransitionAppender enumeration path, the
+// buffer expand emits fresh successors into, and this worker's share of
+// the run's counters. The struct is padded to three cache lines so
+// neighbouring workers' per-expansion buffer-header and counter writes
+// never false-share.
 //
 // The recycling side needs no driver-held free-list beyond this: the models
 // pool through sync.Pool, whose per-P private caches already give each
@@ -112,8 +127,14 @@ func (c *pchecker) setAbort(info *AbortInfo) {
 // worker is overwhelmingly re-issued to a succ() clone on the same P
 // without touching the shared pool chain.
 type pworker struct {
-	key      keyer
-	trs      []ts.Transition
+	key keyer
+	trs []ts.Transition
+	out []pitem
+
+	fired    int
+	aborts   int
+	maxDepth int
+	wildcard bool
 	recycled uint64
 	// unpolled counts this worker's expansions not yet added to the run's
 	// shared expansion count (see pollBatch).
@@ -122,21 +143,46 @@ type pworker struct {
 	// unset). Each worker gets its own obs slot via NewWorker, so the
 	// batched flushes land on distinct cache lines too.
 	ow *obs.Worker
-	_  [40]byte
+	_  [48]byte
 }
 
-// checkParallel explores sys with the parallel driver (see Options.Workers).
-func checkParallel(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
+// oneWorker is a one-worker run's reusable storage — the worker scratch
+// and the spare level buffer the emission buffer ping-pongs with — pooled
+// across runs, so a synthesis dispatch (tens of thousands per run, a
+// handful of levels each) starts from warm buffers instead of regrowing
+// them from capacity zero.
+type oneWorker struct {
+	w     [1]pworker
+	spare []pitem
+}
+
+var oneWorkerPool = sync.Pool{New: func() any { return new(oneWorker) }}
+
+// release clears the buffers (pooled storage must not pin states or
+// transition closures) and returns the storage to the pool; level is the
+// run's last level buffer, the partner of the worker's emission buffer.
+func (o *oneWorker) release(level []pitem) {
+	pw := &o.w[0]
+	clear(pw.trs[:cap(pw.trs)])
+	clear(pw.out)
+	clear(level)
+	*pw = pworker{key: keyer{buf: pw.key.buf[:0]}, trs: pw.trs[:0], out: pw.out[:0]}
+	o.spare = level[:0]
+	oneWorkerPool.Put(o)
+}
+
+// checkSafety explores sys with the level-synchronous driver (see
+// Options.Workers).
+func checkSafety(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
 	c := &pchecker{
-		sys:     sys,
-		opt:     opt,
-		ctx:     ctx,
-		canon:   newCanon(sys, opt),
-		lc:      newLifecycle(sys, opt),
-		labels:  newPhaseLabels(opt),
-		invs:    sys.Invariants(),
-		visited: visited.NewConcurrent(visitedConfig(opt)),
-		traces:  statespace.NewTraceStore[ts.State](opt.RecordTrace),
+		sys:    sys,
+		opt:    opt,
+		ctx:    ctx,
+		canon:  newCanon(sys, opt),
+		lc:     newLifecycle(sys, opt),
+		labels: newPhaseLabels(opt),
+		invs:   sys.Invariants(),
+		traces: statespace.NewTraceStore[ts.State](opt.RecordTrace),
 	}
 	if gr, ok := sys.(ts.GoalReporter); ok {
 		c.goals = gr.Goals()
@@ -145,21 +191,34 @@ func checkParallel(ctx context.Context, sys ts.System, opt Options) (*Result, er
 	if qr, ok := sys.(ts.QuiescentReporter); ok {
 		c.quies = qr
 	}
-	c.workers = make([]pworker, opt.Workers)
+	// Usage brackets each firing with ResetUsage/Usage on one tracker, so
+	// it needs the one worker.
+	if opt.Workers > 1 && opt.Usage == nil {
+		c.visited = visited.NewConcurrent(visitedConfig(opt))
+		c.workers = make([]pworker, opt.Workers)
+		c.expandFn = c.expandOne
+	} else {
+		c.visited = visited.New(visitedConfig(opt))
+		c.one = oneWorkerPool.Get().(*oneWorker)
+		c.workers = c.one.w[:]
+	}
 	for i := range c.workers {
-		c.workers[i].key = newKeyer(c.canon, opt)
+		c.workers[i].key.canon = c.canon
+		c.workers[i].key.legacy = opt.StringKeys
 		c.workers[i].ow = opt.Obs.NewWorker()
 	}
+	var res *Result
 	var err error
-	if c.ckpt, err = newCheckpointer(sys, opt, c.visited); err != nil {
-		closeStore(c.visited)
-		return nil, err
+	if c.ckpt, err = newCheckpointer(sys, opt, c.visited); err == nil {
+		opt.Obs.SetGauge(obs.GMaxStates, uint64(opt.MaxStates))
+		res, err = c.runSafe()
+		c.labels.clear()
 	}
-	opt.Obs.SetGauge(obs.GMaxStates, uint64(opt.MaxStates))
-	res, err := c.runSafe()
-	c.labels.clear()
 	if cerr := closeStore(c.visited); err == nil {
 		err = cerr
+	}
+	if c.one != nil {
+		c.one.release(c.level)
 	}
 	if err != nil {
 		return nil, err
@@ -167,14 +226,13 @@ func checkParallel(ctx context.Context, sys ts.System, opt Options) (*Result, er
 	return res, nil
 }
 
-// tryAdmit claims expansion ownership of s through worker w's keyer
+// tryAdmit claims expansion ownership of s through worker pw's keyer
 // scratch, bumping the admitted counter on success when a cap needs it.
 // Rejected duplicates are recycled on the spot: a loser of an insert race
 // was never traced and never emitted, so only the calling worker can still
 // reach it (counted per worker; the model's sync.Pool keeps the returned
 // storage on this worker's P).
-func (c *pchecker) tryAdmit(w int, s ts.State, sw *obs.Stopwatch) bool {
-	pw := &c.workers[w]
+func (c *pchecker) tryAdmit(pw *pworker, s ts.State, sw *obs.Stopwatch) bool {
 	c.labels.key()
 	sw.Mark()
 	fp := pw.key.fingerprint(s)
@@ -184,11 +242,7 @@ func (c *pchecker) tryAdmit(w int, s ts.State, sw *obs.Stopwatch) bool {
 	sw.Lap(obs.PhaseInsert)
 	if !fresh {
 		pw.ow.Inc(obs.CDuplicates)
-		if c.lc.recycler != nil {
-			c.lc.recycler.Recycle(s)
-			pw.recycled++
-			pw.ow.Inc(obs.CRecycled)
-		}
+		c.recycle(pw, s)
 		return false
 	}
 	pw.ow.Inc(obs.CStates)
@@ -198,14 +252,14 @@ func (c *pchecker) tryAdmit(w int, s ts.State, sw *obs.Stopwatch) bool {
 	return true
 }
 
-// noteDepth lifts the max-enqueued-depth watermark to d (racing workers
-// each CAS until their depth is covered).
-func (c *pchecker) noteDepth(d int) {
-	for {
-		cur := c.maxDepth.Load()
-		if int64(d) <= cur || c.maxDepth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
+// recycle hands a dead state back to the system's pool. The caller must own
+// s outright: nothing — trace node, frontier entry, failure info — may still
+// reference it (see the ts package's ownership rules).
+func (c *pchecker) recycle(pw *pworker, s ts.State) {
+	if c.lc.recycler != nil {
+		c.lc.recycler.Recycle(s)
+		pw.recycled++
+		pw.ow.Inc(obs.CRecycled)
 	}
 }
 
@@ -214,7 +268,7 @@ func (c *pchecker) noteDepth(d int) {
 func (c *pchecker) checkState(it pitem) bool {
 	for _, inv := range c.invs {
 		if !inv.Holds(it.state) {
-			c.fail(FailInvariant, inv.Name, it.node)
+			c.fail(FailInvariant, inv.Name, it)
 			return true
 		}
 	}
@@ -226,27 +280,40 @@ func (c *pchecker) checkState(it pitem) bool {
 	return false
 }
 
-// fail records the first property violation; later violations (racing
-// workers in the same level) are dropped, so the reported trace is always a
-// single consistent parent chain. n is nil with traces off.
-func (c *pchecker) fail(kind FailKind, name string, n *statespace.TraceNode[ts.State]) {
+// fail records the first property violation at it; later violations
+// (racing workers in the same level) are dropped, so the reported trace is
+// always a single consistent parent chain.
+func (c *pchecker) fail(kind FailKind, name string, it pitem) {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
 	if c.failure != nil {
 		return
 	}
-	fi := &FailureInfo{Kind: kind, Name: name}
-	if n != nil {
-		fi.Trace = tracePath(n)
+	fi := &FailureInfo{Kind: kind, Name: name, UsageMask: it.mask}
+	if it.node != nil {
+		fi.Trace = tracePath(it.node)
 	}
 	c.failure = fi
 }
 
-// expand fires all transitions of one frontier entry, emitting fresh
-// successors into the next level. It is called concurrently by the level
-// workers; w is the ExpandLevel worker index selecting this worker's
-// keyer scratch.
-func (c *pchecker) expand(w int, it pitem, emit func(pitem)) (stop bool, err error) {
+// expandOne is the statespace.ExpandLevel callback of multi-worker runs:
+// it expands one entry into worker w's buffer and hands the buffer's
+// contents on to emit.
+func (c *pchecker) expandOne(w int, it pitem, emit func(pitem)) (bool, error) {
+	pw := &c.workers[w]
+	stop, err := c.expand(pw, it)
+	for _, child := range pw.out {
+		emit(child)
+	}
+	clear(pw.out)
+	pw.out = pw.out[:0]
+	return stop, err
+}
+
+// expand fires all transitions of one frontier entry, appending fresh
+// successors to pw.out. Under several workers it runs concurrently, each
+// worker with its own pw.
+func (c *pchecker) expand(pw *pworker, it pitem) (stop bool, err error) {
 	// Panic containment happens here, per worker goroutine: a panic out of
 	// model code (Transitions, Fire, an invariant, Key) cannot cross
 	// ExpandLevel's goroutine boundary, so it must be converted to an abort
@@ -257,7 +324,6 @@ func (c *pchecker) expand(w int, it pitem, emit func(pitem)) (stop bool, err err
 			stop, err = true, nil
 		}
 	}()
-	pw := &c.workers[w]
 	if pw.unpolled++; pw.unpolled == pollBatch {
 		pw.unpolled = 0
 		if c.expanded.Add(pollBatch)%cancelPollStride == 0 && c.ctx.Err() != nil {
@@ -281,53 +347,62 @@ func (c *pchecker) expand(w int, it pitem, emit func(pitem)) (stop bool, err err
 		trs = c.sys.Transitions(it.state)
 	}
 	sw.Lap(obs.PhaseEnumerate)
+	usage := c.opt.Usage
 	succs, blocked := 0, 0
 	for _, tr := range trs {
+		if usage != nil {
+			usage.ResetUsage()
+		}
 		c.labels.fire()
 		sw.Mark()
 		next, ferr := tr.Fire(c.opt.Env)
 		sw.Lap(obs.PhaseFire)
 		if ferr != nil {
 			if errors.Is(ferr, ts.ErrWildcard) {
-				c.wildcard.Store(true)
-				c.aborts.Add(1)
+				pw.wildcard = true
+				pw.aborts++
 				pw.ow.Inc(obs.CAborts)
 				blocked++
 				continue
 			}
 			return true, fmt.Errorf("mc: transition %q from state %q: %w", tr.Name, it.state.Key(), ferr)
 		}
-		c.fired.Add(1)
+		pw.fired++
 		pw.ow.Inc(obs.CTransitions)
 		succs++
-		if !c.tryAdmit(w, next, sw) {
+		if !c.tryAdmit(pw, next, sw) {
 			continue
 		}
-		child := pitem{state: next, node: c.traces.Add(next, tr.Name, it.node), depth: it.depth + 1}
-		c.noteDepth(child.depth)
+		child := pitem{state: next, node: c.traces.Add(next, tr.Name, it.node), mask: it.mask}
+		if usage != nil {
+			child.mask |= usage.Usage()
+		}
+		pw.maxDepth = c.depth + 1
 		if c.checkState(child) {
 			return true, nil
 		}
-		emit(child)
+		if len(pw.out) == cap(pw.out) {
+			// Double: append grows a large slice by only 1.25×, which would
+			// reallocate a big level several times more often.
+			pw.out = slices.Grow(pw.out, max(len(pw.out), 16))
+		}
+		pw.out = append(pw.out, child)
 	}
 	if succs == 0 && !c.opt.NoDeadlock && blocked == 0 {
 		// With blocked > 0 all outgoing behaviour hides behind wildcards:
 		// not provably a deadlock; the Unknown verdict (WildcardHit) covers
 		// it, and the expansion completes normally below.
 		if c.quies == nil || !c.quies.Quiescent(it.state) {
-			c.fail(FailDeadlock, "deadlock", it.node)
+			c.fail(FailDeadlock, "deadlock", it)
 			return true, nil
 		}
 	}
 	// Normal completion. In traceless mode the expanded state is dead: no
-	// trace node references it, ExpandLevel reads each level entry exactly
-	// once (the frontier slice's copy of the pointer is never dereferenced
-	// again), and the fired closures are gone — so its storage returns to
-	// the pool from the worker that owned its expansion.
-	if !c.opt.RecordTrace && c.lc.recycler != nil {
-		c.lc.recycler.Recycle(it.state)
-		pw.recycled++
-		pw.ow.Inc(obs.CRecycled)
+	// trace node references it, its level entry is read exactly once, and
+	// the fired closures are gone — so its
+	// storage returns to the pool from the worker that owned its expansion.
+	if !c.opt.RecordTrace {
+		c.recycle(pw, it.state)
 	}
 	return false, nil
 }
@@ -345,91 +420,129 @@ func (c *pchecker) runSafe() (res *Result, err error) {
 	return c.run()
 }
 
-func (c *pchecker) run() (*Result, error) {
-	var frontier []pitem
-	stopped := false
-	if _, items, err := c.resumePar(); err != nil {
-		return nil, err
-	} else if items != nil {
-		c.resumed = true
-		frontier = items
-		c.peak = max(c.peak, len(frontier))
-	} else {
-		inits := c.sys.Initial()
-		if len(inits) == 0 {
-			return nil, fmt.Errorf("mc: system %q has no initial states", c.sys.Name())
-		}
-		for _, s := range inits {
-			c.initCur = s
-			if !c.tryAdmit(0, s, nil) {
-				continue
-			}
-			it := pitem{state: s, node: c.traces.Add(s, "", nil)}
-			if c.checkState(it) {
-				stopped = true
-				break
-			}
-			frontier = append(frontier, it)
-		}
-		c.initCur = nil
-		c.peak = len(frontier)
+// seed fills c.level with the initial states, or with the checkpointed
+// frontier under Options.Resume; stop reports that an initial state
+// already violates an invariant.
+func (c *pchecker) seed() (stop bool, err error) {
+	if c.one != nil {
+		c.level, c.one.spare = c.one.spare, nil
 	}
+	if items, err := c.resume(); err != nil || items != nil {
+		c.level = items
+		c.peak = max(c.peak, len(items))
+		return false, err
+	}
+	inits := c.sys.Initial()
+	if len(inits) == 0 {
+		return false, fmt.Errorf("mc: system %q has no initial states", c.sys.Name())
+	}
+	for _, s := range inits {
+		c.initCur = s
+		if !c.tryAdmit(&c.workers[0], s, nil) {
+			continue
+		}
+		it := pitem{state: s, node: c.traces.Add(s, "", nil)}
+		if c.checkState(it) {
+			stop = true
+			break
+		}
+		c.level = append(c.level, it)
+	}
+	c.initCur = nil
+	c.peak = len(c.level)
+	return stop, nil
+}
 
-	for !stopped && len(frontier) > 0 {
+func (c *pchecker) run() (*Result, error) {
+	stopped, err := c.seed()
+	if err != nil {
+		return nil, err
+	}
+	for !stopped && len(c.level) > 0 {
 		// An already-expired context aborts before the next level, however
 		// small the levels are (the run-wide stride poll handles big ones).
 		if c.ctx.Err() != nil {
 			c.setAbort(cancelAbort(c.ctx))
 			break
 		}
-		next, stop, err := statespace.ExpandLevel(c.opt.Workers, frontier, c.expand)
+		if c.one != nil {
+			stopped, err = c.expandLevel()
+		} else {
+			var next []pitem
+			next, stopped, err = statespace.ExpandLevel(len(c.workers), c.level, c.expandFn)
+			c.peak = max(c.peak, len(c.level)+len(next))
+			c.level = next
+		}
 		if err != nil {
 			return nil, err
 		}
-		// The true high-water mark is reached *during* the expansion, when
-		// the whole current level is still alive and the next level has
-		// been fully emitted — not the size of either level alone. A
-		// partial next level (stop mid-expansion) coexisted the same way.
-		if hw := len(frontier) + len(next); hw > c.peak {
-			c.peak = hw
-		}
-		if stop {
+		if stopped {
 			break
 		}
+		c.depth++
 		// Level boundary: level-aware backends reorganize (spill merges
 		// its run files) while no worker is inserting, and the checkpointer
 		// snapshots the completed level.
-		if err := c.endLevelObs(len(next)); err != nil {
+		if err := c.endLevelObs(len(c.level)); err != nil {
 			return nil, err
 		}
-		if len(next) > 0 {
-			if err := c.checkpointPar(next[0].depth, next); err != nil {
-				return nil, err
-			}
+		if err := c.checkpoint(c.level); err != nil {
+			return nil, err
 		}
-		frontier = next
 	}
 	return c.finish(), nil
 }
 
-// finish assembles the Result with the same verdict logic as the
-// sequential driver. ExpandLevel has returned (WaitGroup happens-before),
-// so flushing the workers' staged telemetry from this goroutine is safe
-// even when the run stopped mid-level.
+// expandLevel is the one-worker level: every entry of c.level expanded
+// inline, in item order, appending into the worker's buffer — which
+// becomes c.level while the expanded level, cleared, becomes the next
+// emission buffer. The two buffers ping-pong for the whole run, so a level
+// allocates only when the frontier outgrows them.
+func (c *pchecker) expandLevel() (stop bool, err error) {
+	pw := &c.workers[0]
+	level := c.level
+	n := 0
+	for n < len(level) && !stop && err == nil {
+		stop, err = c.expand(pw, level[n])
+		// Drop the expanded entry now, as a FIFO queue pops it: a state
+		// the model's pool lets go of must not stay reachable from the
+		// level until the level ends.
+		level[n] = pitem{}
+		n++
+		c.peak = max(c.peak, len(level)-n+len(pw.out))
+	}
+	clear(level[n:]) // entries a stop left unexpanded
+	c.level, pw.out = pw.out, level[:0]
+	return stop, err
+}
+
+// totals sums the workers' counters into run statistics. Call it only
+// while no worker runs: between levels or after the run.
+func (c *pchecker) totals() (st Stats, wildcard bool) {
+	for i := range c.workers {
+		pw := &c.workers[i]
+		st.FiredTransitions += pw.fired
+		st.WildcardAborts += pw.aborts
+		st.MaxDepth = max(st.MaxDepth, pw.maxDepth)
+		wildcard = wildcard || pw.wildcard
+	}
+	return st, wildcard
+}
+
+// finish assembles the Result. Every worker has joined (ExpandLevel's
+// WaitGroup happens-before), so flushing their staged telemetry from this
+// goroutine is safe even when the run stopped mid-level.
 func (c *pchecker) finish() *Result {
 	c.obsFinish()
+	st, wildcard := c.totals()
+	st.VisitedStates = c.visited.Len()
 	res := &Result{
-		Stats: Stats{
-			VisitedStates:    c.visited.Len(),
-			FiredTransitions: int(c.fired.Load()),
-			WildcardAborts:   int(c.aborts.Load()),
-			MaxDepth:         int(c.maxDepth.Load()),
-		},
-		WildcardHit: c.wildcard.Load(),
+		Stats:       st,
+		WildcardHit: wildcard,
 		CapHit:      c.capHit.Load(),
 		Resumed:     c.resumed,
 	}
-	res.Space.Transitions = int(c.fired.Load())
+	res.Space.Transitions = st.FiredTransitions
 	res.Space.PeakFrontier = c.peak
 	res.Space.TraceNodes = c.traces.Nodes()
 	var recycled uint64
@@ -443,8 +556,9 @@ func (c *pchecker) finish() *Result {
 		res.Failure = c.failure
 		return res
 	}
-	// A recorded failure outranks an abort (same rule as the sequential
-	// driver); an abort outranks the wildcard/cap downgrades.
+	// A recorded failure outranks an abort (a violation found before the
+	// cancel fired is still a violation); an abort outranks the
+	// wildcard/cap downgrades.
 	if ab := c.abort.Load(); ab != nil {
 		res.Verdict = Aborted
 		res.Abort = ab

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"verc3/internal/mc"
@@ -279,19 +280,6 @@ func TestParallelModelErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestParallelDFSFallsBackToSequential pins the documented fallback: DFS
-// order ignores Workers and keeps the deterministic sequential driver (its
-// non-minimal-trace ablation semantics depend on traversal order).
-func TestParallelDFSFallsBackToSequential(t *testing.T) {
-	res, err := mc.Check(line(9, false), mc.Options{Order: mc.DFS, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != mc.Success || res.Stats.VisitedStates != 9 {
-		t.Fatalf("got %v / %d states", res.Verdict, res.Stats.VisitedStates)
-	}
-}
-
 // TestShardBitsOption smoke-tests a non-default shard count.
 func TestShardBitsOption(t *testing.T) {
 	res, err := mc.Check(line(50, false), mc.Options{Workers: 4, ShardBits: 2})
@@ -343,5 +331,56 @@ func TestParallelPeakFrontierHighWater(t *testing.T) {
 	}
 	if seq.Space.PeakFrontier != 4 {
 		t.Errorf("sequential PeakFrontier = %d, want 4", seq.Space.PeakFrontier)
+	}
+}
+
+// TestLevelLoopAllocs pins that the one-worker level loop allocates
+// nothing per level of its own: on a line graph every level is one state,
+// so the extra mallocs of a 4× longer line must be exactly the model's own
+// (toy.Graph builds one Fire closure per enumerated edge). Both lengths
+// stay below the flat visited table's first growth, and the level buffers
+// are pooled across runs, so any per-level slice or closure the driver
+// made would show up here. Each count is the fewest mallocs over several
+// runs: under -race sync.Pool drops Puts at random, and a run that missed
+// the pool pays its set-up again.
+func TestLevelLoopAllocs(t *testing.T) {
+	const short, long = 50, 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := func(f func()) uint64 {
+		f() // warm the pools
+		best := ^uint64(0)
+		var ms runtime.MemStats
+		for range 20 {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			f()
+			runtime.ReadMemStats(&ms)
+			best = min(best, ms.Mallocs-before)
+		}
+		return best
+	}
+	check := func(g *toy.Graph) uint64 {
+		return fewest(func() {
+			res, err := mc.Check(g, mc.Options{})
+			if err != nil || res.Verdict != mc.Success {
+				t.Fatalf("got %v, %v", res, err)
+			}
+		})
+	}
+	model := func(g *toy.Graph, n int) uint64 {
+		var trs []ts.Transition
+		return fewest(func() {
+			s := g.Initial()[0]
+			for i := 0; i < n-1; i++ {
+				trs = g.AppendTransitions(trs[:0], s)
+				s, _ = trs[0].Fire(nil)
+			}
+		})
+	}
+	gs, gl := line(short, false), line(long, false)
+	driver := check(gl) - check(gs)
+	own := model(gl, long) - model(gs, short)
+	if driver != own {
+		t.Errorf("%d more levels cost %d more mallocs, the model's own share is %d", long-short, driver, own)
 	}
 }

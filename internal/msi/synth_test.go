@@ -127,10 +127,10 @@ func TestSynthesizeLarge(t *testing.T) {
 	}
 }
 
-// TestStrategiesAgreeOnSolutions: naive enumeration, full-vector pruning,
-// trace-generalized pruning and DFS-order pruning must produce the same
-// MSI-small solution set — the pruning optimization and search order are
-// performance choices, never correctness choices.
+// TestStrategiesAgreeOnSolutions: naive enumeration, full-vector pruning
+// and trace-generalized pruning must produce the same MSI-small solution
+// set — the pruning optimization is a performance choice, never a
+// correctness choice.
 func TestStrategiesAgreeOnSolutions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full 231k-candidate naive baseline (~25s); run without -short")
@@ -143,10 +143,9 @@ func TestStrategiesAgreeOnSolutions(t *testing.T) {
 	configs := map[string]core.Config{
 		"naive": {Mode: core.ModeNaive, MC: mc.Options{Symmetry: true}},
 		"trace": {Mode: core.ModePrune, PruneStyle: core.PruneTraceGeneralized, MC: mc.Options{Symmetry: true}},
-		"dfs":   {Mode: core.ModePrune, MC: mc.Options{Symmetry: true, Order: mc.DFS}},
 	}
 	// Hole discovery order differs across strategies (naive explores under
-	// defaults, DFS in different order), so solutions are compared as sets
+	// defaults), so solutions are compared as sets
 	// of hole-name → action-name maps, not positionally.
 	canon := func(r *core.Result) map[string]bool {
 		set := map[string]bool{}

@@ -202,7 +202,7 @@ type Collector struct {
 }
 
 // New builds a Collector. The slot pool is sized to the machine (two per
-// processor, at least eight): enough that a parallel driver's workers
+// processor, at least eight): enough that a multi-worker run's workers
 // rarely share a slot, small enough that Snapshot's sweep stays cheap.
 func New() *Collector {
 	n := 2 * runtime.GOMAXPROCS(0)

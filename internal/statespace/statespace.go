@@ -1,7 +1,6 @@
 // Package statespace provides the exploration substrate of VerC3's
-// embedded model checker: 64-bit state fingerprints, a ring-buffer
-// frontier queue, a level-synchronous work distributor for parallel
-// breadth-first search, an optional parent-linked trace store, and a
+// embedded model checker: 64-bit state fingerprints, a level-synchronous
+// work distributor for parallel breadth-first search, an optional parent-linked trace store, and a
 // memory profile (Stats) of an exploration run. The visited-set storage
 // itself is pluggable and lives in the sibling package internal/visited
 // (map, flat open-addressing, and SPIN-style bitstate backends), all keyed
@@ -17,9 +16,9 @@
 // set to 8 bytes of payload per state; Hasher additionally supports
 // fingerprinting content that arrives in pieces without concatenating it.
 //
-// Exploration is trace-optional. The frontier (Queue sequentially, the
-// levels of ExpandLevel in parallel) carries states directly and releases
-// them as they are expanded, so with counterexample recording off nothing
+// Exploration is trace-optional. The frontier — one BFS level at a time,
+// spread over workers by ExpandLevel — carries states directly and
+// releases them as they are expanded, so with counterexample recording off nothing
 // per-state outlives its expansion except the 8-byte fingerprint — the
 // memory regime of SPIN's and TLC's fingerprint-only modes. Only when the
 // caller wants replayable counterexamples does TraceStore allocate one
@@ -37,10 +36,9 @@
 // the traceless search cannot smuggle a wrong candidate into the results.
 package statespace
 
-// Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. Both
-// the sequential and the parallel exploration drivers key their visited
-// sets by Fingerprint, so they dedupe — and therefore count — states
-// identically.
+// Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. The
+// exploration driver keys its visited set by Fingerprint at every worker
+// count, so runs dedupe — and therefore count — states identically.
 type Fingerprint uint64
 
 const (

@@ -17,12 +17,13 @@ type Stats struct {
 	States int `json:"states"`
 	// Transitions is the number of successful transition firings.
 	Transitions int `json:"transitions"`
-	// PeakFrontier is the frontier high-water mark: the largest queue
-	// length (sequential driver) or, for the parallel driver, the largest
-	// current-level + emitted-next-level coexistence during a level
-	// expansion — the true number of frontier entries alive at once, not
-	// just the largest single level. With trace recording off it bounds
-	// the number of states alive at once.
+	// PeakFrontier is the frontier high-water mark: with one worker the
+	// largest number of live entries (the current level's unexpanded tail
+	// plus the next level emitted so far, what a FIFO queue would hold);
+	// with several, the largest current-level + emitted-next-level
+	// coexistence during a level expansion — the true number of frontier
+	// entries alive at once, not just the largest single level. With trace
+	// recording off it bounds the number of states alive at once.
 	PeakFrontier int `json:"peak_frontier"`
 	// TraceNodes is the number of parent-linked trace-store nodes retained.
 	// Always 0 with trace recording off — the acceptance criterion of the

@@ -10,7 +10,7 @@ import (
 
 const (
 	// flatInitialSlots is a fresh table's capacity: 2KiB, far below the
-	// 1024-entry map the sequential checker used to pre-allocate per run,
+	// 1024-entry map the checker once pre-allocated per run,
 	// which matters when synthesis makes millions of small dispatches.
 	flatInitialSlots = 256
 	// flatMinStripeSlots keeps the per-stripe tables of the concurrent
@@ -22,8 +22,8 @@ const (
 	fibMix = 0x9E3779B97F4A7C15
 )
 
-// flatTable is the open-addressing core shared by the sequential and the
-// lock-striped Flat variants (and the Spill backend's in-RAM tier): a
+// flatTable is the open-addressing core shared by the single-goroutine and
+// the lock-striped Flat variants (and the Spill backend's in-RAM tier): a
 // power-of-two slice of raw 8-byte fingerprints with Robin Hood probing —
 // an insert displaces any resident whose probe distance is shorter than
 // its own, equalizing displacement across occupants. Bounded displacement
@@ -216,7 +216,7 @@ type stripe struct {
 	_  [64 - 8 - unsafe.Sizeof(flatTable{})]byte
 }
 
-// stripedFlat is the concurrent Flat variant for the parallel driver: the
+// stripedFlat is the concurrent Flat variant for multi-worker runs: the
 // fingerprint's low bits select an independent flatTable guarded by its own
 // mutex, so probing and growth never cross a stripe boundary and the
 // critical section is a handful of word comparisons.

@@ -30,8 +30,8 @@ const (
 	spillFenceStride = 256
 	// spillMaxRuns caps the live run count between level boundaries: a
 	// budget-triggered flush that would exceed it merges first, bounding
-	// the per-probe ReadAt count even for drivers that never report level
-	// boundaries (DFS).
+	// the per-probe ReadAt count even for stores that never see a level
+	// boundary (the liveness phase's NDFS colour stores).
 	spillMaxRuns = 8
 )
 
@@ -487,8 +487,9 @@ func (s *spill) EndLevel() error {
 }
 
 // Close removes every run file and the backend's temp directory. It
-// returns the first I/O failure of the run's lifetime, so drivers that
-// never hit a level boundary (DFS) still surface spill errors.
+// returns the first I/O failure of the run's lifetime, so stores that
+// never see a level boundary (the NDFS colour stores) still surface spill
+// errors.
 func (s *spill) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -37,9 +37,9 @@
 // fingerprint is a property of the keying scheme (see package statespace),
 // not the store.
 //
-// Stores come in two flavours: New builds a single-goroutine store for the
-// sequential exploration driver (no locks on the insert path), and
-// NewConcurrent builds a goroutine-safe store for the parallel driver
+// Stores come in two flavours: New builds a single-goroutine store for
+// one-worker exploration (no locks on the insert path), and NewConcurrent
+// builds a goroutine-safe store for multi-worker exploration
 // (lock-striped for Map and Flat, lock-free atomics for Bitstate, a
 // read-write structural lock over striped tables for Spill). Every
 // backend's TryInsert is an exact expansion-ownership claim under its
@@ -236,7 +236,7 @@ type Dumper interface {
 	DumpFingerprints(yield func(fp statespace.Fingerprint) error) error
 }
 
-// New builds a single-goroutine store: the sequential driver's insert path
+// New builds a single-goroutine store: a one-worker run's insert path
 // stays lock-free. The returned store must not be used concurrently
 // (except Bitstate and Spill, which are always goroutine-safe).
 func New(cfg Config) Store {
@@ -252,7 +252,7 @@ func New(cfg Config) Store {
 	}
 }
 
-// NewConcurrent builds a goroutine-safe store for the parallel driver.
+// NewConcurrent builds a goroutine-safe store for multi-worker runs.
 func NewConcurrent(cfg Config) Store {
 	switch cfg.Kind {
 	case Map:
